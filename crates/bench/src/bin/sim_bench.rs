@@ -15,7 +15,7 @@
 //!
 //! Like `kernel_bench`, these are *real wall-clock* numbers of the
 //! library itself: each measurement is the best of N runs to damp
-//! scheduler noise. Both executors run the same four workloads with the
+//! scheduler noise. Both executors run the same five workloads with the
 //! same virtual-event counts:
 //!
 //! * `sleep_chain` — many tasks each awaiting a chain of staggered
@@ -26,6 +26,10 @@
 //!   wake, remove throughput.
 //! * `fan_in` — all tasks sleeping to the same deadlines; equal-deadline
 //!   ordering and burst wake handling.
+//! * `open_loop` — fig12's shape: windows of requests on a fixed arrival
+//!   timetable, each holding a short service sleep. The current executor
+//!   starts each request with `SimCtx::spawn_at`; the legacy one has no
+//!   such primitive and spawns a task that first awaits `sleep_until`.
 
 // Host-side benchmark binary: wall clock IS the measurement.
 #![allow(clippy::disallowed_methods)]
@@ -219,10 +223,12 @@ mod legacy {
                 let Some(mut fut) = self.state.tasks.borrow_mut().remove(&id) else {
                     continue;
                 };
+                // The old executor never ran with a live sanitizer (the
+                // port keeps it disabled), so no per-task clock is kept.
                 self.state
                     .sanitizer
                     .borrow()
-                    .on_poll(id, self.state.now.get());
+                    .on_poll(id, None, self.state.now.get());
                 // Fresh waker allocation on every poll — the old cost.
                 let waker = Waker::from(Arc::new(TaskWaker {
                     id,
@@ -274,6 +280,20 @@ mod legacy {
             state.tasks.borrow_mut().insert(id, wrapped);
             state.ready.borrow_mut().push_back(id);
             JoinHandle { slot }
+        }
+
+        /// The old executor's open-loop arrival: a task whose first
+        /// poll registers a `sleep_until` to the arrival time.
+        pub fn spawn_at<F>(&self, deadline: SimTime, fut: F) -> JoinHandle<F::Output>
+        where
+            F: Future + 'static,
+            F::Output: 'static,
+        {
+            let ctx = self.clone();
+            self.spawn(async move {
+                ctx.sleep_until(deadline).await;
+                fut.await
+            })
         }
 
         pub fn sleep(&self, d: SimDuration) -> Sleep {
@@ -374,7 +394,7 @@ mod legacy {
     }
 }
 
-/// The four workloads, instantiated once per executor. Each returns its
+/// The five workloads, instantiated once per executor. Each returns its
 /// scheduler-event count (spawns + timer registrations), which is the
 /// numerator of events/sec and identical across executors by construction.
 macro_rules! workload_impls {
@@ -453,6 +473,36 @@ macro_rules! workload_impls {
                 }
                 sim.run();
                 tasks * (rounds + 1)
+            }
+
+            pub fn open_loop(windows: u64, per_window: u64) -> u64 {
+                let mut sim = <$Sim>::new(1);
+                let ctx = sim.ctx();
+                sim.spawn(async move {
+                    for w in 0..windows {
+                        // Arrivals every 1 µs, strictly after the window
+                        // opens, so every one of them waits on a timer.
+                        let t0 = ctx.now();
+                        let handles: Vec<_> = (0..per_window)
+                            .map(|i| {
+                                let at = t0 + SimDuration::from_micros(1 + i);
+                                let service =
+                                    SimDuration::from_micros(20 + (w * 131 + i * 17) % 40);
+                                let c = ctx.clone();
+                                ctx.spawn_at(at, async move {
+                                    c.sleep(service).await;
+                                })
+                            })
+                            .collect();
+                        for h in handles {
+                            h.await;
+                        }
+                    }
+                });
+                sim.run();
+                // Root spawn, then per request: spawn, arrival timer,
+                // service timer.
+                1 + windows * per_window * 3
             }
         }
     };
@@ -542,10 +592,17 @@ fn main() {
         }
     }
     // (tasks/waves, rounds/per_wave) per workload, and best-of iterations.
-    let (iters, chain, storm, churn, fan) = if smoke {
-        (3, (200, 100), (100, 50), (50, 100), (200, 100))
+    let (iters, chain, storm, churn, fan, open) = if smoke {
+        (3, (200, 100), (100, 50), (50, 100), (200, 100), (50, 200))
     } else {
-        (5, (1_000, 500), (500, 200), (200, 500), (1_000, 500))
+        (
+            5,
+            (1_000, 500),
+            (500, 200),
+            (200, 500),
+            (1_000, 500),
+            (200, 1_000),
+        )
     };
     println!(
         "sim_bench: mode={} iters={iters}",
@@ -576,6 +633,12 @@ fn main() {
             iters,
             || current::fan_in(fan.0, fan.1),
             || baseline::fan_in(fan.0, fan.1),
+        ),
+        bench(
+            "open_loop",
+            iters,
+            || current::open_loop(open.0, open.1),
+            || baseline::open_loop(open.0, open.1),
         ),
     ];
 

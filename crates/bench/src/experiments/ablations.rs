@@ -176,11 +176,9 @@ pub fn extra_observations() -> ExperimentResult {
                     let n = (rate * 10.0) as u64;
                     for i in 0..n {
                         let at = window_start + SimDuration::from_secs_f64(i as f64 / rate);
-                        let ctx2 = ctx.clone();
                         let client = client.clone();
                         let key = keys[(i % 64) as usize].clone();
-                        handles.push(ctx.spawn(async move {
-                            ctx2.sleep_until(at).await;
+                        handles.push(ctx.spawn_at(at, async move {
                             let _ = client.get(&key, 1024, &RequestOpts::default()).await;
                         }));
                     }
@@ -226,11 +224,9 @@ pub fn extra_observations() -> ExperimentResult {
                     let handles: Vec<_> = (0..n)
                         .map(|i| {
                             let at = t0 + SimDuration::from_secs_f64(i as f64 / rate);
-                            let ctx2 = ctx.clone();
                             let storage = storage.clone();
                             let ok = Rc::clone(&ok);
-                            ctx.spawn(async move {
-                                ctx2.sleep_until(at).await;
+                            ctx.spawn_at(at, async move {
                                 if storage
                                     .put(
                                         &format!("w/{i}"),

@@ -399,8 +399,7 @@ pub fn fig11() -> ExperimentResult {
                     let client = client.clone();
                     let ok = Rc::clone(&ok);
                     let fail = Rc::clone(&fail);
-                    all_handles.push(ctx.spawn(async move {
-                        ctx2.sleep_until(at).await;
+                    all_handles.push(ctx.spawn_at(at, async move {
                         let out = client.get("ramp/obj", 1024, &RequestOpts::default()).await;
                         let now = ctx2.now();
                         match out {
@@ -507,11 +506,9 @@ pub fn fig12() -> ExperimentResult {
                 let handles: Vec<_> = (0..n)
                     .map(|i| {
                         let at = t0 + SimDuration::from_secs_f64(i as f64 / rate);
-                        let ctx2 = ctx.clone();
                         let storage = storage.clone();
                         let opts = opts.clone();
-                        ctx.spawn(async move {
-                            ctx2.sleep_until(at).await;
+                        ctx.spawn_at(at, async move {
                             let _ = storage.get("ramp/obj", &opts).await;
                         })
                     })
@@ -600,12 +597,10 @@ pub fn fig13() -> ExperimentResult {
                     let handles: Vec<_> = (0..n)
                         .map(|i| {
                             let at = t0 + SimDuration::from_secs_f64(i as f64 / rate);
-                            let ctx2 = ctx.clone();
                             let storage = storage.clone();
                             let opts = opts.clone();
                             let ok = Rc::clone(&ok);
-                            ctx.spawn(async move {
-                                ctx2.sleep_until(at).await;
+                            ctx.spawn_at(at, async move {
                                 if storage.get("probe/obj", &opts).await.is_ok() {
                                     ok.set(ok.get() + 1);
                                 }

@@ -162,7 +162,8 @@ pub async fn run_closed_loop(
 
 /// Open-loop load: issue requests on a fixed timetable at `rate` requests
 /// per second regardless of completions (the Fig. 11 ramp pattern, where
-/// Lambda instances generate a deterministic offered load). Returns
+/// Lambda instances generate a deterministic offered load). Each request
+/// is a [`SimCtx::spawn_at`] task whose first poll is its arrival. Returns
 /// (successes, failures) series in `bucket`-sized intervals.
 pub async fn run_open_loop(
     ctx: &SimCtx,
@@ -173,47 +174,66 @@ pub async fn run_open_loop(
 ) -> (IntervalSeries, IntervalSeries, Histogram) {
     populate(storage, cfg);
     let start = ctx.now();
-    let ok_series = Rc::new(RefCell::new(IntervalSeries::new(start, bucket)));
-    let fail_series = Rc::new(RefCell::new(IntervalSeries::new(start, bucket)));
-    let latency = Rc::new(RefCell::new(Histogram::new()));
+    let (clients, threads, keyspace) =
+        (cfg.clients, cfg.threads_per_client, cfg.keyspace_per_thread);
+    // Every request reads a pre-created object; name each one once here
+    // instead of formatting a key per request.
+    let keys: Vec<String> = (0..clients)
+        .flat_map(|c| {
+            (0..threads).flat_map(move |t| (0..keyspace).map(move |k| bench_key(c, t, k)))
+        })
+        .collect();
+    let shared = Rc::new(OpenLoop {
+        ctx: ctx.clone(),
+        storage: storage.clone(),
+        keys,
+        ok_series: RefCell::new(IntervalSeries::new(start, bucket)),
+        fail_series: RefCell::new(IntervalSeries::new(start, bucket)),
+        latency: RefCell::new(Histogram::new()),
+    });
     let total = (rate_per_sec * cfg.duration.as_secs_f64()) as u64;
     let gap = SimDuration::from_secs_f64(1.0 / rate_per_sec.max(1e-9));
 
     let mut handles = Vec::with_capacity(total as usize);
     for i in 0..total {
         let at = start + gap * i;
-        let ctx2 = ctx.clone();
-        let storage = storage.clone();
-        let cfg = cfg.clone();
-        let ok_series = Rc::clone(&ok_series);
-        let fail_series = Rc::clone(&fail_series);
-        let latency = Rc::clone(&latency);
-        handles.push(ctx.spawn(async move {
-            ctx2.sleep_until(at).await;
-            let key = bench_key(
-                (i % cfg.clients as u64) as usize,
-                (i as usize / cfg.clients) % cfg.threads_per_client,
-                i as usize % cfg.keyspace_per_thread,
-            );
-            let t0 = ctx2.now();
-            let outcome = storage.get(&key, &RequestOpts::default()).await;
-            let now = ctx2.now();
+        let i = i as usize;
+        // Request i goes to client i % clients, thread (i / clients) % threads.
+        let key = ((i % clients) * threads + (i / clients) % threads) * keyspace + i % keyspace;
+        let shared = Rc::clone(&shared);
+        handles.push(ctx.spawn_at(at, async move {
+            let s = &*shared;
+            let t0 = s.ctx.now();
+            let outcome = s.storage.get(&s.keys[key], &RequestOpts::default()).await;
+            let now = s.ctx.now();
             match outcome {
                 Ok(_) => {
-                    ok_series.borrow_mut().record(now, 1.0);
-                    latency.borrow_mut().record((now - t0).as_secs_f64());
+                    s.ok_series.borrow_mut().record(now, 1.0);
+                    s.latency.borrow_mut().record((now - t0).as_secs_f64());
                 }
-                Err(_) => fail_series.borrow_mut().record(now, 1.0),
+                Err(_) => s.fail_series.borrow_mut().record(now, 1.0),
             }
         }));
     }
     skyrise_sim::join_all(handles).await;
     let out = (
-        ok_series.borrow().clone(),
-        fail_series.borrow().clone(),
-        latency.borrow().clone(),
+        shared.ok_series.borrow().clone(),
+        shared.fail_series.borrow().clone(),
+        shared.latency.borrow().clone(),
     );
     out
+}
+
+/// State every request of one [`run_open_loop`] call shares, behind a
+/// single `Rc`.
+struct OpenLoop {
+    ctx: SimCtx,
+    storage: Storage,
+    /// Object keys in [`populate`] order: client, then thread, then index.
+    keys: Vec<String>,
+    ok_series: RefCell<IntervalSeries>,
+    fail_series: RefCell<IntervalSeries>,
+    latency: RefCell<Histogram>,
 }
 
 #[cfg(test)]

@@ -151,6 +151,7 @@ pub async fn transfer(
     }
     let mut stalled_slices: u64 = 0;
     let mut flowing = true;
+    let san = ctx.sanitizer();
 
     // Telemetry (DESIGN.md §10): handles resolved once per transfer; the
     // per-lane pair is keyed by the endpoint label so suite exports break
@@ -209,7 +210,6 @@ pub async fn transfer(
             // Commit the grant everywhere.
             src.borrow_mut().outbound.consume(now, allow);
             dst.borrow_mut().inbound.consume(now, allow);
-            let san = ctx.sanitizer();
             if san.enabled() {
                 src.borrow().outbound.assert_conserved(&san, "src.outbound");
                 dst.borrow().inbound.assert_conserved(&san, "dst.inbound");

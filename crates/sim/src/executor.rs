@@ -25,6 +25,11 @@
 //!   that must bubble to the top of a `BinaryHeap`;
 //! * each task's [`Waker`] is created once and cached in its slab slot
 //!   (an `Arc` clone per poll instead of a fresh allocation);
+//! * the sanitizer's per-task clock (the time of the task's last poll)
+//!   lives in the same slot, so checking it costs no lookup of its own;
+//! * [`SimCtx::spawn_at`] parks a new task on the timer heap until its
+//!   start time, so an open-loop arrival's first poll is its arrival —
+//!   one poll and one [`Sleep`] fewer than `spawn` + `sleep_until`;
 //! * the tracer, sanitizer, fault plan, and RNG sit behind a single
 //!   [`RefCell`] of scheduler hooks, borrowed once per step rather than
 //!   once per handle.
@@ -79,8 +84,13 @@ impl Wake for TaskWaker {
 struct Task {
     /// The future, `None` only while it is being polled.
     fut: Option<LocalBoxFuture>,
-    /// Cached waker, created lazily on first poll and cloned thereafter.
+    /// Cached waker, created lazily on first poll (or at spawn, for a
+    /// [`SimCtx::spawn_at`] task) and cloned thereafter.
     waker: Option<Waker>,
+    /// Virtual time of the last poll, `None` before the first: the
+    /// sanitizer's per-task monotonicity clock. A reused slot holds a
+    /// fresh `Task`, so it never inherits the previous task's clock.
+    last_poll: Option<SimTime>,
 }
 
 /// Scheduler hooks behind one cell: everything the executor (and tasks,
@@ -137,6 +147,15 @@ struct SimState {
     stats: ExecStats,
     /// RNG seed this simulation was created with.
     seed: u64,
+}
+
+impl SimState {
+    /// Register a timer, counting it as a timer insert.
+    fn insert_timer(&self, deadline: SimTime, waker: Waker) -> TimerKey {
+        let stats = &self.stats;
+        stats.timer_inserts.set(stats.timer_inserts.get() + 1);
+        self.timers.borrow_mut().insert(deadline, waker)
+    }
 }
 
 /// The simulation: owns the virtual clock, task set, and timer wheel.
@@ -402,7 +421,8 @@ impl Sim {
             // Take the future out of its slot for the poll (a task may
             // spawn siblings mid-poll, which re-borrows the slab). The
             // generation check makes wakes for completed tasks miss.
-            let (mut fut, waker) = {
+            let now = self.state.now.get();
+            let (mut fut, waker, last_poll) = {
                 let mut tasks = self.state.tasks.borrow_mut();
                 let Some(task) = tasks.get_mut(id) else {
                     continue; // task already completed; stale wake
@@ -419,9 +439,9 @@ impl Sim {
                         }))
                     })
                     .clone();
-                (fut, waker)
+                (fut, waker, task.last_poll.replace(now))
             };
-            sanitizer.on_poll(id, self.state.now.get());
+            sanitizer.on_poll(id, last_poll, now);
             let stats = &self.state.stats;
             stats.polls.set(stats.polls.get() + 1);
             let mut cx = Context::from_waker(&waker);
@@ -506,6 +526,21 @@ impl SimCtx {
         F: Future + 'static,
         F::Output: 'static,
     {
+        self.spawn_at(SimTime::ZERO, fut)
+    }
+
+    /// Spawn a task whose first poll happens at `deadline`: the open-loop
+    /// arrival primitive. Equivalent to `spawn(async { sleep_until(deadline)
+    /// .await; fut.await })` in completion times and order, minus the
+    /// spawn-time poll and the [`Sleep`] future. The start is an ordinary
+    /// timer registered now, so it counts as a timer insert and fires in
+    /// registration order among equal deadlines. A `deadline` at or before
+    /// [`now`](SimCtx::now) behaves exactly like [`spawn`](SimCtx::spawn).
+    pub fn spawn_at<F>(&self, deadline: SimTime, fut: F) -> JoinHandle<F::Output>
+    where
+        F: Future + 'static,
+        F::Output: 'static,
+    {
         let state = self.state();
         let live = state.live_tasks.get() + 1;
         state.live_tasks.set(live);
@@ -525,11 +560,24 @@ impl SimCtx {
                 w.wake();
             }
         });
-        let id = state.tasks.borrow_mut().insert(Task {
+        let mut tasks = state.tasks.borrow_mut();
+        let id = tasks.insert(Task {
             fut: Some(wrapped),
             waker: None,
+            last_poll: None,
         });
-        state.ready.borrow_mut().push_back(id);
+        if deadline <= state.now.get() {
+            drop(tasks);
+            state.ready.borrow_mut().push_back(id);
+        } else {
+            let waker = Waker::from(Arc::new(TaskWaker {
+                id,
+                queue: Arc::clone(&state.wake_queue),
+            }));
+            tasks.get_mut(id).expect("just inserted").waker = Some(waker.clone());
+            drop(tasks);
+            state.insert_timer(deadline, waker);
+        }
         JoinHandle { slot }
     }
 
@@ -565,11 +613,7 @@ impl SimCtx {
     }
 
     fn register_timer(&self, deadline: SimTime, waker: Waker) -> TimerKey {
-        let state = self.state();
-        let stats = &state.stats;
-        stats.timer_inserts.set(stats.timer_inserts.get() + 1);
-        let key = state.timers.borrow_mut().insert(deadline, waker);
-        key
+        self.state().insert_timer(deadline, waker)
     }
 
     /// Refresh the waker of a pending timer; false when the timer already
@@ -1118,5 +1162,213 @@ mod tests {
             flag.set(true);
         });
         sim.run();
+    }
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_nanos(n * 1_000_000)
+    }
+
+    #[test]
+    fn spawn_at_first_poll_is_at_deadline() {
+        let mut sim = Sim::new(1);
+        let reg = sim.install_metrics();
+        let ctx = sim.ctx();
+        let c = ctx.clone();
+        let h = ctx.spawn_at(ms(7), async move {
+            let arrived = c.now();
+            c.sleep(SimDuration::from_millis(3)).await;
+            (arrived, c.now())
+        });
+        sim.run();
+        assert_eq!(h.try_take(), Some((ms(7), ms(10))));
+        // One poll at the arrival, one after the 3 ms sleep: no
+        // spawn-time poll at t=0.
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters["sim.executor.polls"], 2);
+        // The arrival is a timer insert, as the `sleep_until` it replaces.
+        assert_eq!(snap.counters["sim.timer.inserts"], 2);
+    }
+
+    #[test]
+    fn spawn_at_past_deadline_behaves_like_spawn() {
+        let mut sim = Sim::new(1);
+        let reg = sim.install_metrics();
+        let ctx = sim.ctx();
+        let order: Rc<RefCell<Vec<(&str, SimTime)>>> = Rc::new(RefCell::new(Vec::new()));
+        let o = Rc::clone(&order);
+        sim.spawn(async move {
+            ctx.sleep(SimDuration::from_millis(10)).await;
+            let inserts_before = ctx.metrics().counter("sim.timer.inserts").get();
+            let mut handles = Vec::new();
+            for (name, at) in [
+                ("past", Some(ms(5))),
+                ("spawn", None),
+                ("now", Some(ms(10))),
+            ] {
+                let o = Rc::clone(&o);
+                let c = ctx.clone();
+                let body = async move { o.borrow_mut().push((name, c.now())) };
+                handles.push(match at {
+                    Some(at) => ctx.spawn_at(at, body),
+                    None => ctx.spawn(body),
+                });
+            }
+            join_all(handles).await;
+            // Neither past-deadline spawn touched the timer heap.
+            assert_eq!(
+                ctx.metrics().counter("sim.timer.inserts").get(),
+                inserts_before
+            );
+        });
+        sim.run();
+        assert_eq!(
+            *order.borrow(),
+            vec![("past", ms(10)), ("spawn", ms(10)), ("now", ms(10))]
+        );
+        // Root: 2 polls for the sleep, 1 to spawn and block on the join,
+        // 1 to finish; each child: exactly 1 poll, as with `spawn`.
+        assert_eq!(reg.snapshot().counters["sim.executor.polls"], 3 + 3);
+    }
+
+    #[test]
+    fn spawn_at_and_sleeps_fire_in_registration_order() {
+        let mut sim = Sim::new(1);
+        let ctx = sim.ctx();
+        let log: Rc<RefCell<Vec<&str>>> = Rc::new(RefCell::new(Vec::new()));
+        let l = Rc::clone(&log);
+        sim.spawn(async move {
+            let push = |name: &'static str| {
+                let l = Rc::clone(&l);
+                async move { l.borrow_mut().push(name) }
+            };
+            // a and c register at spawn time, then this task's own sleep
+            // registers before it yields. The sleeper registers its timer
+            // at its own first poll, after that, so it fires last.
+            ctx.spawn_at(ms(4), push("a"));
+            let sleeper = {
+                let ctx = ctx.clone();
+                let b = push("b");
+                async move {
+                    ctx.sleep_until(ms(4)).await;
+                    b.await
+                }
+            };
+            ctx.spawn(sleeper);
+            ctx.spawn_at(ms(4), push("c"));
+            ctx.sleep_until(ms(4)).await;
+            l.borrow_mut().push("root");
+        });
+        sim.run();
+        assert_eq!(*log.borrow(), vec!["a", "c", "root", "b"]);
+    }
+
+    #[test]
+    fn pending_spawn_at_is_not_a_deadlock() {
+        let mut sim = Sim::new(1);
+        let h = sim
+            .ctx()
+            .spawn_at(SimTime::from_nanos(5_000_000_000), async { 1u8 });
+        // Stopping short of the arrival leaves it pending, not deadlocked.
+        sim.run_until(SimTime::from_nanos(1_000_000_000));
+        assert!(!h.is_finished());
+        assert_eq!(sim.run(), SimTime::from_nanos(5_000_000_000));
+        assert_eq!(h.try_take(), Some(1));
+    }
+
+    #[test]
+    fn reused_slot_starts_without_a_clock() {
+        let mut sim = Sim::new(1);
+        let ctx = sim.ctx();
+        let first = sim.spawn(async move {
+            ctx.sleep(SimDuration::from_millis(5)).await;
+        });
+        sim.run();
+        assert!(first.is_finished());
+        // The finished task's slot (index 0) is reused under generation 1;
+        // its last-poll time (5 ms) must not carry over.
+        let _second = sim.ctx().spawn_at(ms(9), async {});
+        let reused: TaskId = 1 << 32;
+        {
+            let tasks = sim.state.tasks.borrow();
+            let task = tasks.get(reused).expect("slot 0 reused");
+            assert_eq!(task.last_poll, None);
+        }
+        sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "virtual time ran backwards")]
+    fn slot_clock_rejects_backwards_poll() {
+        let mut sim = Sim::new(1);
+        sim.enable_sanitizer();
+        sim.spawn(async {});
+        // Forge a last-poll time in the future: the first real poll (at
+        // t=0) then runs backwards, and the sanitizer must say so.
+        sim.state
+            .tasks
+            .borrow_mut()
+            .get_mut(0)
+            .expect("task 0 is live")
+            .last_poll = Some(ms(1));
+        sim.run();
+    }
+
+    mod spawn_at_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One arm's observations: each task's (index, completion time) in
+        /// completion order, plus the executor's poll and timer counters.
+        type Outcome = (Vec<(usize, SimTime)>, u64, u64);
+
+        fn run_arm(jobs: &[(u64, u64)], use_spawn_at: bool) -> Outcome {
+            let mut sim = Sim::new(9);
+            let reg = sim.install_metrics();
+            let ctx = sim.ctx();
+            let done: Rc<RefCell<Vec<(usize, SimTime)>>> = Rc::new(RefCell::new(Vec::new()));
+            for (i, &(arrive_ns, work_ns)) in jobs.iter().enumerate() {
+                let at = SimTime::from_nanos(arrive_ns);
+                let c = ctx.clone();
+                let d = Rc::clone(&done);
+                let body = async move {
+                    c.sleep(SimDuration::from_nanos(work_ns)).await;
+                    d.borrow_mut().push((i, c.now()));
+                };
+                if use_spawn_at {
+                    ctx.spawn_at(at, body);
+                } else {
+                    let c = ctx.clone();
+                    ctx.spawn(async move {
+                        c.sleep_until(at).await;
+                        body.await
+                    });
+                }
+            }
+            sim.run();
+            let snap = reg.snapshot();
+            let out = done.borrow().clone();
+            (
+                out,
+                snap.counters["sim.executor.polls"],
+                snap.counters["sim.timer.inserts"],
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            /// `spawn_at(d, f)` is `spawn(sleep_until(d); f)` with one poll
+            /// fewer per task: same completion times, same completion
+            /// order (ties included), same timer traffic.
+            #[test]
+            fn spawn_at_matches_spawn_then_sleep_until(
+                jobs in prop::collection::vec((1u64..2_000, 0u64..1_500), 1..48)
+            ) {
+                let (legacy, legacy_polls, legacy_inserts) = run_arm(&jobs, false);
+                let (fast, fast_polls, fast_inserts) = run_arm(&jobs, true);
+                prop_assert_eq!(&fast, &legacy);
+                prop_assert_eq!(fast_polls + jobs.len() as u64, legacy_polls);
+                prop_assert_eq!(fast_inserts, legacy_inserts);
+            }
+        }
     }
 }

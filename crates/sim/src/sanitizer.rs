@@ -7,7 +7,11 @@
 //! (the static half is the `simlint` crate). It is enabled by default in
 //! debug builds — which is what `cargo test` runs — and off in release
 //! builds unless [`Sim::enable_sanitizer`](crate::Sim::enable_sanitizer)
-//! is called, so experiment binaries pay nothing for it.
+//! is called. Release experiment binaries do call it: the bench harness
+//! sanitizes every sim so the determinism sweeps can compare digests, so
+//! its per-poll cost is on the suite's critical path. It keeps no per-task
+//! state: each task's last-poll time lives in the executor's task slot and
+//! is handed to [`Sanitizer::on_poll`], which only compares and folds.
 //!
 //! Checked invariants:
 //! * the global virtual clock never moves backwards ([`Sanitizer::on_advance`]);
@@ -23,7 +27,6 @@
 
 use crate::time::SimTime;
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::{fnv1a64_fold, FNV64_OFFSET as FNV_OFFSET};
@@ -79,8 +82,6 @@ struct SanitizerState {
     events: Cell<u64>,
     digest: Cell<u64>,
     trail: RefCell<Vec<DigestCheckpoint>>,
-    /// Last virtual time each live task was polled at.
-    task_clock: RefCell<BTreeMap<u64, u64>>,
 }
 
 /// Handle onto the simulation's sanitizer. Cheap to clone; a disabled
@@ -98,7 +99,6 @@ impl Sanitizer {
                 events: Cell::new(0),
                 digest: Cell::new(FNV_OFFSET),
                 trail: RefCell::new(Vec::new()),
-                task_clock: RefCell::new(BTreeMap::new()),
             })),
         }
     }
@@ -125,29 +125,29 @@ impl Sanitizer {
         }
     }
 
-    /// Record a task poll. Asserts the task's virtual clock is monotone:
-    /// a task can never be polled at an earlier time than it last ran.
-    pub fn on_poll(&self, task: u64, now: SimTime) {
+    /// Record a task poll at `now`, given the time of the same task's
+    /// previous poll (`None` on its first). Asserts the task's virtual
+    /// clock is monotone: a task can never be polled at an earlier time
+    /// than it last ran. The caller keeps `last` (the executor holds it in
+    /// the task's slot).
+    pub fn on_poll(&self, task: u64, last: Option<SimTime>, now: SimTime) {
         let Some(s) = &self.state else { return };
         let now = now.as_nanos();
-        let mut clocks = s.task_clock.borrow_mut();
-        if let Some(&last) = clocks.get(&task) {
+        if let Some(last) = last {
+            let last = last.as_nanos();
             assert!(
                 now >= last,
                 "sanitizer: task {task} polled at t={now}ns after \
                  being polled at t={last}ns — virtual time ran backwards"
             );
         }
-        clocks.insert(task, now);
-        drop(clocks);
         self.fold(s, task);
         self.fold(s, now);
     }
 
-    /// Record a task completion (frees its monotonicity slot).
+    /// Record a task completion.
     pub fn on_complete(&self, task: u64) {
         let Some(s) = &self.state else { return };
-        s.task_clock.borrow_mut().remove(&task);
         self.fold(s, task ^ 0x5eed_dead_beef_0000);
     }
 
@@ -265,8 +265,8 @@ mod tests {
     #[test]
     fn disabled_sanitizer_is_noop() {
         let san = Sanitizer::disabled();
-        san.on_poll(1, crate::SimTime::from_nanos(5));
-        san.on_poll(1, crate::SimTime::from_nanos(1)); // would panic if enabled
+        let t = crate::SimTime::from_nanos;
+        san.on_poll(1, Some(t(5)), t(1)); // would panic if enabled
         san.check(false, || unreachable!("message closure must not run"));
         assert!(san.report().is_none());
         assert!(!san.enabled());
@@ -276,8 +276,9 @@ mod tests {
     #[should_panic(expected = "virtual time ran backwards")]
     fn per_task_clock_regression_panics() {
         let san = Sanitizer::new();
-        san.on_poll(1, crate::SimTime::from_nanos(100));
-        san.on_poll(1, crate::SimTime::from_nanos(50));
+        let t = crate::SimTime::from_nanos;
+        san.on_poll(1, None, t(100));
+        san.on_poll(1, Some(t(100)), t(50));
     }
 
     #[test]
@@ -335,12 +336,17 @@ mod tests {
     #[test]
     fn task_completion_frees_clock_slot() {
         let san = Sanitizer::new();
-        san.on_poll(1, crate::SimTime::from_nanos(100));
+        let t = crate::SimTime::from_nanos;
+        san.on_poll(1, None, t(100));
         san.on_complete(1);
-        // Task id reuse after completion must not trip the monotonicity
-        // assert (the executor never reuses ids, but the sanitizer should
-        // not depend on that).
-        san.on_poll(1, crate::SimTime::from_nanos(50));
+        // The slab reuses a completed task's slot (under a new generation,
+        // so the id differs, but the sanitizer must not depend on that).
+        // The sanitizer keeps no clock of its own: a fresh task's first
+        // poll carries no previous time, so an earlier `now` cannot trip
+        // the monotonicity assert. The executor-side half — a reused slot
+        // starts with no clock — is `executor::tests::
+        // reused_slot_starts_without_a_clock`.
+        san.on_poll(1, None, t(50));
     }
 
     #[test]
@@ -348,5 +354,53 @@ mod tests {
         let sim = Sim::new(1);
         assert_eq!(sim.sanitizer().enabled(), cfg!(debug_assertions));
         let _ = Rc::new(()); // silence unused-import lint paths in release
+    }
+
+    /// A fixed spawn/sleep/complete workload whose waves reuse slab slots:
+    /// 24 waves of 16 tasks, each wave joined before the next spawns, so
+    /// every wave after the first runs in the previous wave's freed slots
+    /// (under new generations).
+    fn slot_reuse_workload() -> SanitizerReport {
+        let mut sim = Sim::new(0x601d);
+        let san = sim.enable_sanitizer();
+        let ctx = sim.ctx();
+        sim.spawn(async move {
+            for wave in 0..24u64 {
+                let handles: Vec<_> = (0..16u64)
+                    .map(|i| {
+                        let ctx = ctx.clone();
+                        ctx.clone().spawn(async move {
+                            let d = ctx.with_rng(|r| r.gen_range_u64(1, 400));
+                            ctx.sleep(SimDuration::from_micros(d + (wave * 7 + i) % 13))
+                                .await;
+                            ctx.sleep(SimDuration::from_nanos(d)).await;
+                        })
+                    })
+                    .collect();
+                crate::executor::join_all(handles).await;
+            }
+        });
+        sim.run();
+        san.report().expect("enabled")
+    }
+
+    /// Pins the digest, event count and checkpoint trail of
+    /// [`slot_reuse_workload`] to the values the sanitizer produced while
+    /// it still kept per-task clocks in its own map. Moving the clock into
+    /// the task slot must fold the same values in the same order.
+    #[test]
+    fn slot_reuse_workload_digest_is_pinned() {
+        let r = slot_reuse_workload();
+        assert_eq!(r.events, 3610);
+        assert_eq!(r.digest, 0x8a6d_8468_f0b4_fd25);
+        let trail: Vec<(u64, u64)> = r.trail.iter().map(|c| (c.event, c.digest)).collect();
+        assert_eq!(
+            trail,
+            vec![
+                (1024, 0x7bd9_242c_528a_3d69),
+                (2048, 0xadbe_9d34_75f6_7c64),
+                (3072, 0xc176_0010_5396_6850),
+            ]
+        );
     }
 }

@@ -6,7 +6,7 @@ use skyrise_net::{transfer, RateLimiter, SharedNic, TransferOpts};
 use skyrise_pricing::{SharedMeter, StorageService};
 use skyrise_sim::telemetry::{Counter, Gauge, HistogramHandle, MetricRegistry};
 use skyrise_sim::{LatencyDist, SimCtx, SimDuration, SimTime};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
 /// Admission control on operations per second: a token bucket over *ops*.
@@ -145,6 +145,11 @@ pub struct ServiceCore {
     pub service_nic: SharedNic,
     /// Concurrent in-flight request ceiling (None = unbounded).
     pub max_inflight: Option<u32>,
+    /// Stand-in NIC for requests without a client NIC, built on first
+    /// use. One per core: an unlimited bucket's tokens never drop below its
+    /// grant cap, so sharing it grants exactly what a fresh one per request
+    /// would.
+    unconstrained_client: OnceCell<SharedNic>,
     inflight: Cell<u32>,
     metrics: CoreMetrics,
 }
@@ -175,6 +180,7 @@ impl ServiceCore {
             write,
             service_nic,
             max_inflight,
+            unconstrained_client: OnceCell::new(),
             inflight: Cell::new(0),
             metrics,
         }
@@ -247,8 +253,12 @@ impl ServiceCore {
             label: Some(self.service.name()),
             ..Default::default()
         };
-        let unconstrained = skyrise_net::Nic::unlimited();
-        let client = opts.client_nic.as_ref().unwrap_or(&unconstrained);
+        let client = match &opts.client_nic {
+            Some(nic) => nic,
+            None => self
+                .unconstrained_client
+                .get_or_init(skyrise_net::Nic::unlimited),
+        };
         if write {
             transfer(&self.ctx, client, &self.service_nic, logical_bytes, &topts).await;
         } else {
